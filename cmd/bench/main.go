@@ -526,6 +526,57 @@ func main() {
 	fleet32 := fleetBench(32)
 	add(fleet32)
 
+	// online/round-{batch,streaming}-wW: one whole fixed-window judgment
+	// round of a single monitor.Online — W pushes, the last of which judges
+	// the W-tick window and emits the verdict — through the default batch
+	// tier (the ring-direct matrix build) and the opt-in streaming tier.
+	// Like-for-like per-round cost of the two KCD tiers at the paper's
+	// window sizes.
+	onlineSamples := make([][][]float64, 600)
+	for t := range onlineSamples {
+		onlineSamples[t] = make([][]float64, kpi.Count)
+		for k := range onlineSamples[t] {
+			onlineSamples[t][k] = make([]float64, dbs)
+			for d := 0; d < dbs; d++ {
+				onlineSamples[t][k][d] = u.Series.Data[k][d].At(t)
+			}
+		}
+	}
+	for _, w := range []int{20, 60, 240} {
+		for _, streaming := range []bool{false, true} {
+			o, err := monitor.NewOnline(detect.Config{
+				Thresholds: window.DefaultThresholds(kpi.Count),
+				Flex:       window.FlexConfig{Initial: w, Max: w, ExhaustState: window.Abnormal},
+				Workers:    1,
+				Streaming:  streaming,
+			}, kpi.Count, dbs)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "bench:", err)
+				os.Exit(1)
+			}
+			tier := "batch"
+			if streaming {
+				tier = "streaming"
+			}
+			next := 0
+			add(measure(fmt.Sprintf("online/round-%s-w%d", tier, w), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for t := 0; t < w; t++ {
+						v, err := o.Push(onlineSamples[next])
+						if err != nil {
+							b.Fatal(err)
+						}
+						next = (next + 1) % len(onlineSamples)
+						if (v != nil) != (t == w-1) {
+							b.Fatalf("round of %d pushes emitted a verdict at push %d", w, t)
+						}
+					}
+				}
+			}))
+		}
+	}
+
 	// server/status: the API status document under dashboard polling. The
 	// cached variant is the steady-state hit — a conditional GET against an
 	// unchanged generation answers 304 from the cached document without

@@ -30,13 +30,26 @@ func resolveWorkers(w int) int {
 // windows cross the threshold and still parallelize.
 const minParallelWork = 50000
 
+// WindowSource supplies the windows a matrix build correlates: FillWindow
+// copies the len(dst) points of KPI k on database d that begin at position
+// start into dst (gap points as NaN). The build calls FillWindow at most
+// once per (KPI, database), possibly from several goroutines at once, so it
+// must only read shared state. *timeseries.UnitSeries is one.
+type WindowSource interface {
+	// Shape reports the number of KPIs and databases.
+	Shape() (kpis, dbs int)
+	FillWindow(k, d, start int, dst []float64)
+}
+
 // Engine builds the per-KPI correlation matrices of Eq. 5 over a bounded
 // worker pool. The Q×pairs task grid is sharded per KPI: each worker claims
 // whole KPIs off an atomic counter and fills that matrix alone, so the
 // result is bit-identical to the serial build regardless of worker count or
-// scheduling. Every worker draws a private Scratch from an internal pool,
-// making steady-state KCD matrix builds allocation-lean: only the output
-// matrices themselves are allocated.
+// scheduling. Every worker draws a private Scratch from an internal pool
+// and copies each database's window into it once per KPI; on the KCD path
+// it also runs the kernel's per-series steps (gap repair, normalization,
+// centering) once per database rather than once per pair. Steady-state
+// builds into caller-owned matrices allocate nothing.
 //
 // An Engine is safe for concurrent use and is meant to be built once and
 // reused across windows (the streaming monitor keeps one per unit).
@@ -48,11 +61,11 @@ type Engine struct {
 	pool    sync.Pool // *Scratch
 }
 
-// NewEngine returns the allocation-lean KCD engine: pairs are scored with
-// KCDWithDelayScratch under the given options. workers <= 0 sizes the pool
-// to GOMAXPROCS; 1 forces the serial path for determinism-sensitive or
-// already-parallel callers (results are identical either way — serial only
-// removes the goroutine fan-out).
+// NewEngine returns the allocation-lean KCD engine: pairs are scored
+// bit-identically to KCDWithDelayScratch under the given options. workers
+// <= 0 sizes the pool to GOMAXPROCS; 1 forces the serial path for
+// determinism-sensitive or already-parallel callers (results are identical
+// either way — serial only removes the goroutine fan-out).
 func NewEngine(opts Options, workers int) *Engine {
 	return &Engine{workers: workers, useKCD: true, opts: opts}
 }
@@ -60,8 +73,9 @@ func NewEngine(opts Options, workers int) *Engine {
 // NewMeasureEngine wraps an arbitrary pairwise measure (the Table X
 // ablations: Pearson, Spearman, DTW, or a custom closure). The measure must
 // be safe for concurrent use — every measure in this repository is a pure
-// function. This path cannot reuse KCD scratch buffers, so a measure built
-// by KCDMeasure allocates per pair; prefer NewEngine for KCD.
+// function — and must not retain or modify its arguments, which are the
+// engine's scratch buffers. A measure built by KCDMeasure allocates per
+// pair; prefer NewEngine for KCD.
 func NewMeasureEngine(m Measure, workers int) *Engine {
 	return &Engine{workers: workers, measure: m}
 }
@@ -69,105 +83,120 @@ func NewMeasureEngine(m Measure, workers int) *Engine {
 // Workers reports the resolved pool size.
 func (e *Engine) Workers() int { return resolveWorkers(e.workers) }
 
-// scratch draws a worker-private scratch sized for a d-database unit.
-func (e *Engine) scratch(d int) *Scratch {
-	s, _ := e.pool.Get().(*Scratch)
-	if s == nil {
-		s = NewScratch()
-	}
-	s.growWindows(d)
-	return s
-}
-
 // BuildMatrices computes the Q correlation matrices for the window
 // [start, start+n) of a unit's multivariate series. active[d] marks whether
 // database d participates; per the paper, an unused database has all of its
 // scores set to 0. A nil active slice means all databases are active.
 func (e *Engine) BuildMatrices(u *timeseries.UnitSeries, start, n int, active []bool) ([]*Matrix, error) {
-	if !e.useKCD && e.measure == nil {
-		return nil, fmt.Errorf("correlate: nil measure")
-	}
-	out := make([]*Matrix, u.KPIs)
-	for k := range out {
-		out[k] = NewMatrix(u.Databases)
-	}
-	workers := e.Workers()
-	if workers > u.KPIs {
-		workers = u.KPIs
-	}
-	if pairs := u.Databases * (u.Databases - 1) / 2; u.KPIs*pairs*n < minParallelWork {
-		workers = 1 // small unit: fan-out overhead beats the win (see minParallelWork)
-	}
-	if workers <= 1 {
-		s := e.scratch(u.Databases)
-		defer e.pool.Put(s)
-		for k := 0; k < u.KPIs; k++ {
-			if err := e.buildKPI(u, start, n, active, out[k], k, s); err != nil {
+	for k := 0; k < u.KPIs; k++ {
+		for d := 0; d < u.Databases; d++ {
+			if _, err := u.Series(k, d).Window(start, n); err != nil {
 				return nil, err
 			}
 		}
-		return out, nil
 	}
-	// Each KPI slot is owned by exactly one worker, so errs needs no lock;
-	// the lowest-indexed error wins deterministically after the join.
-	errs := make([]error, u.KPIs)
+	out := NewMatrices(u.KPIs, u.Databases)
+	if err := e.BuildInto(out, u, start, n, active); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// BuildInto fills mats — one matrix per KPI, each sized for the source's
+// databases — with the correlation matrices of the length-n windows src
+// supplies from position start, overwriting every pair score. active
+// follows BuildMatrices.
+func (e *Engine) BuildInto(mats []*Matrix, src WindowSource, start, n int, active []bool) error {
+	if !e.useKCD && e.measure == nil {
+		return fmt.Errorf("correlate: nil measure")
+	}
+	kpis, dbs := src.Shape()
+	if len(mats) != kpis {
+		return fmt.Errorf("correlate: %d matrices for %d KPIs", len(mats), kpis)
+	}
+	for k, m := range mats {
+		if m == nil || m.N != dbs {
+			return fmt.Errorf("correlate: matrix %d does not match %d databases", k, dbs)
+		}
+	}
+	if active != nil && len(active) != dbs {
+		return fmt.Errorf("correlate: active mask has %d entries for %d databases", len(active), dbs)
+	}
+	if n < 0 {
+		return fmt.Errorf("correlate: negative window length %d", n)
+	}
+	workers := e.Workers()
+	if workers > kpis {
+		workers = kpis
+	}
+	if pairs := dbs * (dbs - 1) / 2; kpis*pairs*n < minParallelWork {
+		workers = 1 // small unit: fan-out overhead beats the win (see minParallelWork)
+	}
+	if workers <= 1 {
+		s := e.scratch()
+		for k := 0; k < kpis; k++ {
+			e.buildKPI(src, k, start, n, active, mats[k], s)
+		}
+		e.pool.Put(s)
+		return nil
+	}
 	var next atomic.Int64
-	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := e.scratch(u.Databases)
+			s := e.scratch()
 			defer e.pool.Put(s)
 			for {
 				k := int(next.Add(1)) - 1
-				if k >= u.KPIs || failed.Load() {
+				if k >= kpis {
 					return
 				}
-				if err := e.buildKPI(u, start, n, active, out[k], k, s); err != nil {
-					errs[k] = err
-					failed.Store(true)
-					return
-				}
+				e.buildKPI(src, k, start, n, active, mats[k], s)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return nil
 }
 
-// buildKPI fills one KPI's matrix: stage the database windows, then score
-// every unordered pair.
-func (e *Engine) buildKPI(u *timeseries.UnitSeries, start, n int, active []bool, m *Matrix, k int, s *Scratch) error {
-	windows := s.growWindows(u.Databases)
-	for d := 0; d < u.Databases; d++ {
-		w, err := u.Series(k, d).Window(start, n)
-		if err != nil {
-			return err
-		}
-		windows[d] = w
+// scratch draws a worker-private scratch from the pool.
+func (e *Engine) scratch() *Scratch {
+	s, _ := e.pool.Get().(*Scratch)
+	if s == nil {
+		s = NewScratch()
 	}
-	for i := 0; i < u.Databases; i++ {
-		for j := i + 1; j < u.Databases; j++ {
+	return s
+}
+
+// buildKPI fills one KPI's matrix: copy (and, for KCD, prepare) each
+// active database's window once, then score every unordered pair.
+func (e *Engine) buildKPI(src WindowSource, k, start, n int, active []bool, m *Matrix, s *Scratch) {
+	win := s.growWindows(m.N, n)
+	for d := range win {
+		if active != nil && !active[d] {
+			continue
+		}
+		src.FillWindow(k, d, start, win[d].v)
+		if e.useKCD {
+			win[d] = prepare(win[d].v, e.opts.Normalize)
+		}
+	}
+	for i := 0; i < m.N; i++ {
+		for j := i + 1; j < m.N; j++ {
 			if active != nil && (!active[i] || !active[j]) {
 				m.Set(i, j, 0)
 				continue
 			}
 			if e.useKCD {
-				score, _ := KCDWithDelayScratch(windows[i], windows[j], e.opts, s)
+				score, _ := scorePrepared(&win[i], &win[j], e.opts, s)
 				m.Set(i, j, score)
 			} else {
-				m.Set(i, j, e.measure(windows[i], windows[j]))
+				m.Set(i, j, e.measure(win[i].v, win[j].v))
 			}
 		}
 	}
-	return nil
 }
 
 // BuildOption tunes a BuildMatrices call.

@@ -97,8 +97,20 @@ type Scratch struct {
 	xc, yc []float64
 	px, py []float64
 	fft    *mathx.FFTScratch
-	// windows stages per-database window slices during a matrix build.
-	windows [][]float64
+	// win holds one prepared window per database during a matrix build,
+	// backed by the single slice winBuf.
+	win    []prepared
+	winBuf []float64
+}
+
+// prepared is one window after the per-series steps of the KCD kernel:
+// gap-repaired, optionally min-max normalized, and centered by its mean,
+// with its degenerate-window flag and energy floor. A matrix build prepares
+// each database's window once and scores every pair from it.
+type prepared struct {
+	v        []float64
+	constant bool
+	eps      float64
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use and are
@@ -125,13 +137,20 @@ func (s *Scratch) growPrefix(n int) {
 	s.py = s.py[:n+1]
 }
 
-// growWindows sizes the window staging area for a d-database unit.
-func (s *Scratch) growWindows(d int) [][]float64 {
-	if cap(s.windows) < d {
-		s.windows = make([][]float64, d)
+// growWindows sizes the per-database window buffers for a d-database unit
+// and length-n windows.
+func (s *Scratch) growWindows(d, n int) []prepared {
+	if cap(s.winBuf) < d*n {
+		s.winBuf = make([]float64, d*n)
 	}
-	s.windows = s.windows[:d]
-	return s.windows
+	if cap(s.win) < d {
+		s.win = make([]prepared, d)
+	}
+	s.win = s.win[:d]
+	for i := range s.win {
+		s.win[i] = prepared{v: s.winBuf[i*n : (i+1)*n : (i+1)*n]}
+	}
+	return s.win
 }
 
 // KCDWithDelayScratch is KCDWithDelay computing through caller-owned
@@ -153,35 +172,52 @@ func KCDWithDelayScratch(x, y []float64, opts Options, s *Scratch) (score float6
 	s.grow(n)
 	copy(s.xc, x)
 	copy(s.yc, y)
-	// Collector gaps arrive as NaN points; repair them in the scratch copy
-	// so a few holes degrade the score gracefully instead of poisoning the
-	// normalization and every overlap they touch. Gap-free windows take the
-	// early-exit scan and compute bit-identical scores.
-	repairGaps(s.xc)
-	repairGaps(s.yc)
-	if opts.Normalize {
-		mathx.NormalizeInto(s.xc, s.xc)
-		mathx.NormalizeInto(s.yc, s.yc)
+	px := prepare(s.xc, opts.Normalize)
+	py := prepare(s.yc, opts.Normalize)
+	return scorePrepared(&px, &py, opts, s)
+}
+
+// prepare runs the per-series steps of the kernel on v in place. Collector
+// gaps arrive as NaN points; they are repaired first so a few holes degrade
+// the score gracefully instead of poisoning the normalization and every
+// overlap they touch (gap-free windows take the early-exit scan and
+// compute bit-identical scores). Then the window is min-max normalized
+// (Eq. 1) when asked and centered by its full-window mean (ave(x) in
+// Eq. 3).
+func prepare(v []float64, normalize bool) prepared {
+	repairGaps(v)
+	if normalize {
+		mathx.NormalizeInto(v, v)
 	}
-	// Center by the full-window means (ave(x), ave(y) in Eq. 3).
-	mx, my := mathx.Mean(s.xc), mathx.Mean(s.yc)
-	for i := 0; i < n; i++ {
-		s.xc[i] -= mx
-		s.yc[i] -= my
+	mean := mathx.Mean(v)
+	for i := range v {
+		v[i] -= mean
 	}
-	constX := allZero(s.xc)
-	constY := allZero(s.yc)
-	if constX && constY {
+	p := prepared{v: v, constant: allZero(v)}
+	if !p.constant {
+		p.eps = energyEps(v)
+	}
+	return p
+}
+
+// scorePrepared applies the degenerate-window rules and the delay scan to
+// two prepared equal-length windows.
+func scorePrepared(x, y *prepared, opts Options, s *Scratch) (score float64, delay int) {
+	n := len(x.v)
+	if n == 0 {
+		return 0, 0
+	}
+	if x.constant && y.constant {
 		return 1, 0
 	}
-	if constX || constY {
+	if x.constant || y.constant {
 		return 0, 0
 	}
 	m := opts.maxDelay(n)
 	if opts.UseFFT {
-		return kcdFFT(s.xc, s.yc, m, s)
+		return kcdFFT(x.v, y.v, m, x.eps, y.eps, s)
 	}
-	return kcdDirect(s.xc, s.yc, m)
+	return kcdDirect(x.v, y.v, m, x.eps, y.eps)
 }
 
 // repairGaps fills NaN holes in place: interior runs are linearly
@@ -261,10 +297,10 @@ func delayAt(idx int) int {
 	return -d
 }
 
-// kcdDirect scans delays with the straightforward O(n·m) loop.
-func kcdDirect(xc, yc []float64, m int) (float64, int) {
+// kcdDirect scans delays with the straightforward O(n·m) loop over
+// centered windows whose energy floors (energyEps) the caller supplies.
+func kcdDirect(xc, yc []float64, m int, epsX, epsY float64) (float64, int) {
 	n := len(xc)
-	epsX, epsY := energyEps(xc), energyEps(yc)
 	best := math.Inf(-1)
 	bestDelay := 0
 	for idx := 0; idx <= 2*m; idx++ {
@@ -300,7 +336,7 @@ func kcdDirect(xc, yc []float64, m int) (float64, int) {
 // the per-lag norms from prefix sums of squares, for O(n log n) total. Both
 // the frequency-domain buffers and the prefix sums come from the scratch,
 // so a warm FFT delay scan allocates nothing.
-func kcdFFT(xc, yc []float64, m int, s *Scratch) (float64, int) {
+func kcdFFT(xc, yc []float64, m int, epsX, epsY float64, s *Scratch) (float64, int) {
 	n := len(xc)
 	if s.fft == nil {
 		s.fft = mathx.NewFFTScratch()
@@ -315,7 +351,6 @@ func kcdFFT(xc, yc []float64, m int, s *Scratch) (float64, int) {
 		px[i+1] = px[i] + xc[i]*xc[i]
 		py[i+1] = py[i] + yc[i]*yc[i]
 	}
-	epsX, epsY := energyEps(xc), energyEps(yc)
 	best := math.Inf(-1)
 	bestDelay := 0
 	for idx := 0; idx <= 2*m; idx++ {

@@ -51,6 +51,23 @@ func NewMatrix(n int) *Matrix {
 	return &Matrix{N: n, scores: make([]float64, n*(n-1)/2)}
 }
 
+// NewMatrices returns count N×N matrices with all pair scores zero,
+// backed by one shared allocation (three in all, whatever count is).
+func NewMatrices(count, n int) []*Matrix {
+	if n < 0 {
+		panic("correlate: negative matrix size")
+	}
+	p := n * (n - 1) / 2
+	structs := make([]Matrix, count)
+	scores := make([]float64, count*p)
+	out := make([]*Matrix, count)
+	for k := range out {
+		structs[k] = Matrix{N: n, scores: scores[k*p : (k+1)*p : (k+1)*p]}
+		out[k] = &structs[k]
+	}
+	return out
+}
+
 // index maps (i, j) with i < j to the packed triangle offset.
 func (m *Matrix) index(i, j int) int {
 	if i > j {
@@ -94,4 +111,3 @@ func (m *Matrix) Row(j int) []float64 {
 
 // Pairs returns the number of stored pair scores.
 func (m *Matrix) Pairs() int { return len(m.scores) }
-

@@ -158,11 +158,20 @@ type seriesProvider struct {
 	active []bool
 }
 
+// defaultEngine is the detection-default KCD engine every nil-measure
+// NewProvider shares. Engines are safe for concurrent use, and sharing one
+// keeps one scratch pool warm instead of leaving a fresh pool's scratch
+// pinned by each short-lived provider (the per-verdict explain callers).
+var defaultEngine = Config{}.Engine()
+
 // NewProvider wraps a unit series into an uncached MatrixProvider. A nil
 // measure selects the allocation-lean KCD engine with detection defaults;
 // a non-nil measure must be safe for concurrent use (the build fans out
 // over GOMAXPROCS workers — use NewEngineProvider to bound it).
 func NewProvider(u *timeseries.UnitSeries, measure correlate.Measure, active []bool) MatrixProvider {
+	if measure == nil {
+		return NewEngineProvider(u, defaultEngine, active)
+	}
 	return NewEngineProvider(u, Config{Measure: measure}.Engine(), active)
 }
 

@@ -35,6 +35,7 @@ type Processor struct {
 	total       int // points ingested since start
 	gapCells    int // cumulative gap cells recorded
 	missedTicks int // cumulative wholly-missed ticks
+	src         *ringWindow
 }
 
 // NewProcessor allocates queues for the given shape; capacity is the ring
@@ -44,6 +45,7 @@ func NewProcessor(kpis, dbs, capacity int) *Processor {
 		panic("monitor: non-positive shape")
 	}
 	p := &Processor{kpis: kpis, dbs: dbs}
+	p.src = &ringWindow{p: p}
 	p.rings = make([][]*timeseries.Ring, kpis)
 	for k := range p.rings {
 		p.rings[k] = make([]*timeseries.Ring, dbs)
@@ -208,15 +210,9 @@ func (p *Processor) window(start, size int, wantStats bool) (*timeseries.UnitSer
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var stats WindowStats
-	if size <= 0 {
-		return nil, stats, fmt.Errorf("monitor: non-positive window size %d", size)
-	}
-	if start+size > p.total {
-		return nil, stats, fmt.Errorf("monitor: window [%d, %d) not yet collected (have %d)", start, start+size, p.total)
-	}
-	oldest := p.oldestLocked()
-	if start < oldest {
-		return nil, stats, fmt.Errorf("monitor: window start %d evicted (oldest %d)", start, oldest)
+	off, err := p.rangeLocked(start, size)
+	if err != nil {
+		return nil, stats, err
 	}
 	if wantStats {
 		stats.PerDB = make([]int, p.dbs)
@@ -225,20 +221,66 @@ func (p *Processor) window(start, size int, wantStats bool) (*timeseries.UnitSer
 	for k := 0; k < p.kpis; k++ {
 		for d := 0; d < p.dbs; d++ {
 			ring := p.rings[k][d]
-			// Ring index 0 is absolute tick `oldest`.
 			vals := make([]float64, size)
-			for i := 0; i < size; i++ {
-				vals[i] = ring.At(start - oldest + i)
-			}
+			ring.CopyRange(off, vals)
 			u.Data[k][d].Values = vals
 			if wantStats {
-				g := ring.GapsInRange(start-oldest, size)
+				g := ring.GapsInRange(off, size)
 				stats.Gaps += g
 				stats.PerDB[d] += g
 			}
 		}
 	}
 	return u, stats, nil
+}
+
+// rangeLocked checks that the absolute tick range [start, start+size) is
+// retained and returns the ring index of start. The caller holds p.mu.
+func (p *Processor) rangeLocked(start, size int) (int, error) {
+	if size <= 0 {
+		return 0, fmt.Errorf("monitor: non-positive window size %d", size)
+	}
+	if start+size > p.total {
+		return 0, fmt.Errorf("monitor: window [%d, %d) not yet collected (have %d)", start, start+size, p.total)
+	}
+	// Ring index 0 is absolute tick `oldest`.
+	oldest := p.oldestLocked()
+	if start < oldest {
+		return 0, fmt.Errorf("monitor: window start %d evicted (oldest %d)", start, oldest)
+	}
+	return start - oldest, nil
+}
+
+// ringWindow is the correlate.WindowSource over the processor's rings,
+// with start a ring index (0 = oldest retained). Its user holds p.mu for
+// the whole build.
+type ringWindow struct{ p *Processor }
+
+func (w *ringWindow) Shape() (int, int) { return w.p.kpis, w.p.dbs }
+
+func (w *ringWindow) FillWindow(k, d, start int, dst []float64) {
+	w.p.rings[k][d].CopyRange(start, dst)
+}
+
+// buildWindow builds the correlation matrices of the absolute tick range
+// [start, start+size) into mats straight from the rings — each ring's cells
+// are copied once into the engine's scratch, nothing is materialized — and
+// returns the gap cells inside the range. It fails like Window when the
+// range is evicted or not yet collected. The result is bit-identical to
+// building from WindowWithStats' series.
+func (p *Processor) buildWindow(e *correlate.Engine, mats []*correlate.Matrix, start, size int, active []bool) (gapCells int, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	off, err := p.rangeLocked(start, size)
+	if err != nil {
+		return 0, err
+	}
+	for _, row := range p.rings {
+		for _, ring := range row {
+			gapCells += ring.GapsInRange(off, size)
+		}
+	}
+	return gapCells, e.BuildInto(mats, p.src, off, size, active)
 }
 
 // Verdict augments a detection verdict with collection bookkeeping.
@@ -344,16 +386,19 @@ type Online struct {
 	// persister, when set, receives durable-state hooks (see persist.go).
 	persister Persister
 
-	// Streaming tier (cfg.Streaming): the incremental correlation state,
-	// reusable matrices and judgment scratch, and the staging row for
-	// replaying ring ticks into the stream. The stream always covers a
-	// prefix of the current round's window — topped up from the rings one
-	// tick per push in steady state, fully replayed after a resync or a
-	// state restore (restored rolling stats start cold). See stream.go in
-	// internal/correlate for the numerical contract.
+	// The round's correlation matrices and judgment scratch, reused by
+	// every round for the judge's lifetime.
+	mats  []*correlate.Matrix
+	judge *detect.JudgeScratch
+
+	// Streaming tier (cfg.Streaming): the incremental correlation state
+	// and the staging row for replaying ring ticks into the stream. The
+	// stream always covers a prefix of the current round's window —
+	// topped up from the rings one tick per push in steady state, fully
+	// replayed after a resync or a state restore (restored rolling stats
+	// start cold). See stream.go in internal/correlate for the numerical
+	// contract.
 	stream       *correlate.Stream
-	streamMats   []*correlate.Matrix
-	streamJudge  *detect.JudgeScratch
 	streamSample [][]float64
 }
 
@@ -383,6 +428,8 @@ func NewOnline(cfg detect.Config, kpis, dbs int) (*Online, error) {
 		engine: cfg.Engine(),
 		proc:   NewProcessor(kpis, dbs, cfg.Flex.MaxWindow()),
 		flex:   flex,
+		mats:   correlate.NewMatrices(kpis, dbs),
+		judge:  detect.NewJudgeScratch(),
 	}
 	if cfg.Active != nil {
 		if len(cfg.Active) != dbs {
@@ -400,11 +447,6 @@ func NewOnline(cfg detect.Config, kpis, dbs int) (*Online, error) {
 			return nil, err
 		}
 		o.stream = stream
-		o.streamMats = make([]*correlate.Matrix, kpis)
-		for k := range o.streamMats {
-			o.streamMats[k] = correlate.NewMatrix(dbs)
-		}
-		o.streamJudge = detect.NewJudgeScratch()
 		back := make([]float64, kpis*dbs)
 		o.streamSample = make([][]float64, kpis)
 		for k := range o.streamSample {
@@ -699,31 +741,22 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 	}
 	cfg := o.cfg
 	cfg.Active = active
-	var (
-		mats     []*correlate.Matrix
-		gapCells int
-		states   []window.State
-	)
+	var gapCells int
 	if o.stream != nil {
 		// The top-up above left the stream covering exactly this round's
 		// window; score it straight from the rolling statistics.
 		gapCells = o.stream.GapCells()
-		if err := o.stream.ScoreInto(o.streamMats, active); err != nil {
+		if err := o.stream.ScoreInto(o.mats, active); err != nil {
 			return nil, err
 		}
-		mats = o.streamMats
-		states = o.streamJudge.Judge(mats, cfg, kpis, dbs)
 	} else {
-		u, stats, err := o.proc.WindowWithStats(o.roundStart, size)
-		if err != nil {
+		var err error
+		if gapCells, err = o.proc.buildWindow(o.engine, o.mats, o.roundStart, size, active); err != nil {
 			return nil, err
 		}
-		if mats, err = o.engine.BuildMatrices(u, 0, size, active); err != nil {
-			return nil, err
-		}
-		gapCells = stats.Gaps
-		states = detect.JudgeMatrices(mats, cfg, kpis, dbs)
 	}
+	mats := o.mats
+	states := o.judge.Judge(mats, cfg, kpis, dbs)
 	round := detect.RoundState(states)
 	final, done := o.flex.Resolve(round)
 	if !done {

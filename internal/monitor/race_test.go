@@ -1,0 +1,8 @@
+//go:build race
+
+package monitor
+
+// raceEnabled reports a -race build, where sync.Pool deliberately drops a
+// random share of Puts: pooled scratch is then re-allocated at random and
+// allocation counts through a pool mean nothing.
+const raceEnabled = true

@@ -51,9 +51,20 @@ func (r *Ring) PushGap() (evicted bool) {
 	return r.push(math.NaN(), true)
 }
 
+// slot maps the i-th oldest observation (0 <= i < Cap) to its buffer index
+// by compare-and-wrap: head and i are both below Cap, so one subtraction
+// replaces the integer division of a modulo on the per-tick ingest path.
+func (r *Ring) slot(i int) int {
+	j := r.head + i
+	if j >= len(r.buf) {
+		j -= len(r.buf)
+	}
+	return j
+}
+
 func (r *Ring) push(v float64, gap bool) (evicted bool) {
 	if r.count < len(r.buf) {
-		i := (r.head + r.count) % len(r.buf)
+		i := r.slot(r.count)
 		r.buf[i] = v
 		r.gap[i] = gap
 		if gap {
@@ -62,15 +73,23 @@ func (r *Ring) push(v float64, gap bool) (evicted bool) {
 		r.count++
 		return false
 	}
-	if r.gap[r.head] {
-		r.gaps--
+	// Full: overwrite the oldest slot. Every slot of a full ring holds a
+	// stored observation, so a ring with no gaps has all-false flags and a
+	// gap-free push need not touch the flag array at all.
+	h := r.head
+	if r.gaps > 0 {
+		if r.gap[h] {
+			r.gaps--
+		}
+		r.gap[h] = gap
+	} else if gap {
+		r.gap[h] = true
 	}
-	r.buf[r.head] = v
-	r.gap[r.head] = gap
+	r.buf[h] = v
 	if gap {
 		r.gaps++
 	}
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = r.slot(1)
 	return true
 }
 
@@ -79,7 +98,7 @@ func (r *Ring) At(i int) float64 {
 	if i < 0 || i >= r.count {
 		panic("timeseries: ring index out of range")
 	}
-	return r.buf[(r.head+i)%len(r.buf)]
+	return r.buf[r.slot(i)]
 }
 
 // IsGap reports whether the i-th oldest observation (0 = oldest) is a
@@ -88,7 +107,7 @@ func (r *Ring) IsGap(i int) bool {
 	if i < 0 || i >= r.count {
 		panic("timeseries: ring index out of range")
 	}
-	return r.gap[(r.head+i)%len(r.buf)]
+	return r.gap[r.slot(i)]
 }
 
 // GapsInRange counts the gaps among observations [start, start+n) (0 =
@@ -101,12 +120,41 @@ func (r *Ring) GapsInRange(start, n int) int {
 		return 0
 	}
 	total := 0
-	for i := start; i < start+n; i++ {
-		if r.gap[(r.head+i)%len(r.buf)] {
+	a, b := r.segments(start, n)
+	for _, g := range a {
+		if g {
+			total++
+		}
+	}
+	for _, g := range b {
+		if g {
 			total++
 		}
 	}
 	return total
+}
+
+// CopyRange copies observations [start, start+len(dst)) (0 = oldest
+// stored) into dst, oldest first, as at most two contiguous copies. Gap
+// slots read NaN.
+func (r *Ring) CopyRange(start int, dst []float64) {
+	n := len(dst)
+	if start < 0 || start+n > r.count {
+		panic("timeseries: ring range out of bounds")
+	}
+	i := r.slot(start)
+	first := copy(dst, r.buf[i:])
+	copy(dst[first:], r.buf[:n-first])
+}
+
+// segments returns the gap flags of observations [start, start+n) as the
+// (at most) two contiguous runs of the backing store they occupy.
+func (r *Ring) segments(start, n int) (a, b []bool) {
+	i := r.slot(start)
+	if i+n <= len(r.gap) {
+		return r.gap[i : i+n], nil
+	}
+	return r.gap[i:], r.gap[:i+n-len(r.gap)]
 }
 
 // Last returns the n most recent observations, oldest first. If fewer than

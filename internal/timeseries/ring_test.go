@@ -181,3 +181,60 @@ func TestRingHoldsSuffixProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the range reads — CopyRange's two-segment copy and
+// GapsInRange's flag scan — and the gap count agree with a plain model of
+// the pushed history at every ring position, across wraparound, gap
+// eviction and Reset.
+func TestRingRangeReadsMatchModelProperty(t *testing.T) {
+	rng := mathx.NewRNG(21)
+	for trial := 0; trial < 200; trial++ {
+		capacity := 1 + rng.Intn(12)
+		r := NewRing(capacity)
+		var vals []float64
+		var gaps []bool
+		for op := 0; op < 60; op++ {
+			switch x := rng.Intn(20); {
+			case x == 0:
+				r.Reset()
+				vals, gaps = vals[:0], gaps[:0]
+			case x < 6:
+				r.PushGap()
+				vals, gaps = append(vals, math.NaN()), append(gaps, true)
+			default:
+				v := float64(op)
+				r.Push(v)
+				vals, gaps = append(vals, v), append(gaps, false)
+			}
+			if len(vals) > capacity {
+				vals, gaps = vals[len(vals)-capacity:], gaps[len(gaps)-capacity:]
+			}
+			wantGaps := 0
+			for _, g := range gaps {
+				if g {
+					wantGaps++
+				}
+			}
+			if r.Len() != len(vals) || r.GapCount() != wantGaps {
+				t.Fatalf("trial %d op %d: len %d gaps %d, model %d / %d", trial, op, r.Len(), r.GapCount(), len(vals), wantGaps)
+			}
+			start := rng.Intn(len(vals) + 1)
+			n := rng.Intn(len(vals) - start + 1)
+			dst := make([]float64, n)
+			r.CopyRange(start, dst)
+			wantRange := 0
+			for i := 0; i < n; i++ {
+				want := vals[start+i]
+				if math.Float64bits(dst[i]) != math.Float64bits(want) {
+					t.Fatalf("trial %d op %d: CopyRange(%d, %d)[%d] = %v, model %v", trial, op, start, n, i, dst[i], want)
+				}
+				if gaps[start+i] {
+					wantRange++
+				}
+			}
+			if got := r.GapsInRange(start, n); got != wantRange {
+				t.Fatalf("trial %d op %d: GapsInRange(%d, %d) = %d, model %d", trial, op, start, n, got, wantRange)
+			}
+		}
+	}
+}

@@ -144,6 +144,15 @@ func (u *UnitSeries) Len() int {
 	return u.Data[0][0].Len()
 }
 
+// Shape returns the KPI and database counts.
+func (u *UnitSeries) Shape() (kpis, dbs int) { return u.KPIs, u.Databases }
+
+// FillWindow copies the len(dst) points of KPI k on database d that begin
+// at index start into dst. The range must lie within the series.
+func (u *UnitSeries) FillWindow(k, d, start int, dst []float64) {
+	copy(dst, u.Data[k][d].Values[start:start+len(dst)])
+}
+
 // Series returns the stream of KPI k on database d.
 func (u *UnitSeries) Series(k, d int) *Series { return u.Data[k][d] }
 
